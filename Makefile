@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fuzz-smoke soak-smoke soak-dist soak-byzantine soak-failover bench bench-obs bench-sweep bench-smoke bench-gate
+.PHONY: build test check fuzz-smoke soak-smoke soak-dist soak-byzantine soak-failover bench bench-obs bench-sweep bench-smoke bench-gate bench-compile
 
 build:
 	$(GO) build ./...
@@ -74,7 +74,7 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Row-evaluation benchmark: measures every engine over the study grid
-# in the legacy per-cell, prepared-row, and batched modes and archives
+# in the prepared (scalar Eval per config) and batch modes and archives
 # the numbers in BENCH_sweep.json (schema documented in README.md).
 # bench-smoke is the quick variant: a 27-config grid, one iteration,
 # stdout only — a sanity check that the harness still runs.
@@ -87,10 +87,16 @@ bench-smoke:
 # Per-cell throughput gate: re-measure the analytic engines' prepared
 # and batched modes and fail if any (engine, mode) pair runs more than
 # 25% slower per cell than the committed BENCH_sweep.json ledger. Only
-# the fast modes are gated (the per-cell event engines take minutes
-# and their variance would drown the signal).
+# the fast engines are gated (the event engines take seconds per
+# iteration and their variance would drown the signal).
 bench-gate:
 	$(GO) run ./cmd/benchsweep -engines round,pipeline -modes prepared,batch -budget 3s -gate BENCH_sweep.json
+
+# The job benchmark (jobbench/) is a separate Go module, so `go test
+# ./...` at the root never builds it; this vets and tests it, so a
+# change to a program seam it compiles against fails here.
+bench-compile:
+	cd jobbench && $(GO) vet ./... && $(GO) test ./...
 
 # Observer-overhead gates: the disabled (no-op) observer must add less
 # than 5% to the sweep hot path, and the full distributed-tracing path

@@ -363,8 +363,8 @@ func BenchmarkSweepNopObserver(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepPath prices the prepared row path against the legacy
-// per-cell path for every engine. Round runs the full 891-config study
+// BenchmarkSweepPath prices the executor's batched row path for every
+// engine. Round runs the full 891-config study
 // grid on the 4096-workgroup bench kernel; the event-driven engines
 // run a 256-workgroup kernel on a 27-config grid so a single iteration
 // stays in benchmark territory (cmd/benchsweep measures the full grid
@@ -399,9 +399,6 @@ func BenchmarkSweepPath(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*cells), "ns/cell")
 		}
-		b.Run(c.engine.String()+"/percell", func(b *testing.B) {
-			run(b, sweep.Options{Engine: c.engine, Sim: c.engine.Func()})
-		})
 		b.Run(c.engine.String()+"/prepared", func(b *testing.B) {
 			run(b, sweep.Options{Engine: c.engine})
 		})

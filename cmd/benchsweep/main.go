@@ -1,9 +1,8 @@
-// Command benchsweep measures sweep throughput for every engine on
-// the three evaluation paths — the legacy per-cell path (one full
-// validate/lower/derive per cell), the prepared row path (one Prepare
-// per kernel, memoized per-config evaluations), and the batched row
-// path (the default: one whole-axis EvalBatch call per row) — and
-// archives the numbers as machine-readable JSON.
+// Command benchsweep measures sweep throughput for every engine in two
+// modes — "batch", the executor's evaluation path (one Prepare and one
+// whole-axis EvalBatch call per row), and "prepared", the scalar
+// reference (the same prepared row, its batch looping Eval one config
+// at a time) — and archives the numbers as machine-readable JSON.
 //
 // The output file (BENCH_sweep.json, schema "gpuscale/bench-sweep/v2")
 // is the repository's performance ledger for the data-collection hot
@@ -18,7 +17,9 @@
 // (engine, mode) entry regressed by more than -gate-slack — the CI
 // guard (`make bench-gate`) that keeps the hot path from silently
 // losing its speed. v1 baselines gate their shared entries; modes
-// absent from the baseline pass vacuously.
+// absent from the baseline pass vacuously. Older ledgers also carry
+// "percell" rows (the retired per-cell path); they are history, no
+// longer measured.
 //
 // Usage:
 //
@@ -38,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/sweep"
@@ -55,8 +57,9 @@ const schemaV1 = "gpuscale/bench-sweep/v1"
 // Entry is one (engine, mode) measurement.
 type Entry struct {
 	// Engine is the simulator engine name (round, detailed, wave,
-	// pipeline); Mode is "percell" (legacy path), "prepared" (row path,
-	// batching disabled) or "batch" (row path, whole-axis EvalBatch).
+	// pipeline); Mode is "prepared" (scalar Eval per config) or "batch"
+	// (whole-axis EvalBatch); ledgers written before the per-cell path
+	// was retired also hold "percell" rows.
 	Engine string `json:"engine"`
 	Mode   string `json:"mode"`
 	// Kernel geometry and grid size describe the workload.
@@ -88,7 +91,7 @@ func main() {
 	out := flag.String("o", "BENCH_sweep.json", "write the JSON report here (\"-\" for stdout)")
 	quick := flag.Bool("quick", false, "27-config grid and a single iteration per entry (CI smoke, not a ledger run)")
 	engines := flag.String("engines", "round,detailed,wave,pipeline", "comma-separated engines to measure")
-	modes := flag.String("modes", "percell,prepared,batch", "comma-separated modes to measure (percell, prepared, batch)")
+	modes := flag.String("modes", "prepared,batch", "comma-separated modes to measure (prepared, batch)")
 	budget := flag.Duration("budget", 2*time.Second, "per-entry time budget (at least one iteration always runs)")
 	gate := flag.String("gate", "", "baseline ledger to gate against; exits non-zero on regression instead of writing a report")
 	slack := flag.Float64("gate-slack", 0.25, "allowed fractional ns/cell regression before the gate fails")
@@ -186,8 +189,8 @@ func run(quick bool, engineNames, modes []string, budget time.Duration) (*Report
 		}
 	}
 	// Round gets the full-size bench kernel; the event-driven engines
-	// get a 256-workgroup one so a per-cell iteration over the grid
-	// finishes in tens of seconds, not hours.
+	// get a 256-workgroup one so an iteration over the grid finishes in
+	// seconds.
 	bigK := kernel.New("bench", "bench", "k4096").Geometry(4096, 256).MustBuild()
 	smallK := kernel.New("bench", "bench", "k256").Geometry(256, 256).MustBuild()
 
@@ -204,15 +207,12 @@ func run(quick bool, engineNames, modes []string, budget time.Duration) (*Report
 		for _, mode := range modes {
 			opts := sweep.Options{Engine: e, Workers: 1}
 			switch mode {
-			case "percell":
-				opts.Sim = e.Func()
 			case "prepared":
-				opts.DisableBatch = true
+				opts.Row = scalarRows{e.Row()}
 			case "batch":
-				// The default options: prepared rows with whole-axis
-				// EvalBatch first attempts.
+				// The default options: one whole-axis EvalBatch per row.
 			default:
-				return nil, fmt.Errorf("unknown mode %q (want percell, prepared or batch)", mode)
+				return nil, fmt.Errorf("unknown mode %q (want prepared or batch)", mode)
 			}
 			ent, err := measure(e.String(), mode, k, space, opts, quick, budget)
 			if err != nil {
@@ -224,6 +224,29 @@ func run(quick bool, engineNames, modes []string, budget time.Duration) (*Report
 		}
 	}
 	return rep, nil
+}
+
+// scalarRows is the "prepared" mode's row engine: the engine's own
+// prepared rows, with EvalBatch looping the scalar Eval one config at
+// a time, so the per-config reference path stays priced and gated next
+// to the batch.
+type scalarRows struct{ gcn.RowEngine }
+
+type scalarRow struct{ gcn.PreparedRow }
+
+func (e scalarRows) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error) {
+	pr, err := e.RowEngine.PrepareRow(k)
+	if err != nil {
+		return nil, err
+	}
+	return scalarRow{pr}, nil
+}
+
+func (r scalarRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
+	for i, cfg := range cfgs {
+		out[i], errs[i] = r.Eval(cfg)
+	}
+	return nil
 }
 
 // measure runs whole sweeps of one kernel over the grid until the

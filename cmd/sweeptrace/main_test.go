@@ -38,7 +38,7 @@ func writeTestTrace(t *testing.T) (string, *sweep.RunReport) {
 	tw := obs.NewTraceWriter(f)
 	tel := sweep.NewTelemetry(nil, tw)
 	in := fault.Injector{ErrorRate: 0.2, Seed: 5, OnDecision: fault.Observe(tel.Registry(), tw)}
-	opts := sweep.Options{Workers: 4, Sim: in.Wrap(gcn.Simulate), Retries: 8, Observer: tel}
+	opts := sweep.Options{Workers: 4, Row: in.WrapRow(gcn.RoundRow), Retries: 8, Observer: tel}
 	_, rep, err := sweep.RunContext(context.Background(), kernels, space, opts)
 	if err != nil {
 		t.Fatal(err)

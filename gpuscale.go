@@ -47,9 +47,11 @@ type (
 	KernelBuilder = kernel.Builder
 	// SimResult is one simulated execution.
 	SimResult = gcn.Result
-	// EngineFunc is the simulator signature shared by every engine
-	// (and by fault-injecting wrappers around them).
+	// EngineFunc is the simulator signature shared by every engine.
 	EngineFunc = gcn.EngineFunc
+	// RowEngine is the row-granular engine a sweep runs (see
+	// SweepOptions.Row and FuncRow).
+	RowEngine = gcn.RowEngine
 	// SweepOptions configures RunSweep.
 	SweepOptions = sweep.Options
 	// Matrix holds sweep measurements (kernels x configurations).
@@ -64,9 +66,9 @@ type (
 	// journal file so interrupted runs resume where they stopped;
 	// torn or corrupt tails are salvaged, not fatal.
 	SweepJournal = sweep.Journal
-	// FaultInjector wraps an engine with deterministic, seed-driven
-	// transient errors, corrupt results, and stalls — the test rig
-	// for flaky-hardware robustness drills.
+	// FaultInjector wraps a row engine (WrapRow) with deterministic,
+	// seed-driven transient errors, corrupt results, and stalls — the
+	// test rig for flaky-hardware robustness drills.
 	FaultInjector = fault.Injector
 	// Surface is one kernel's performance over the grid.
 	Surface = core.Surface
@@ -112,8 +114,8 @@ const (
 	CellOK       = sweep.StatusOK
 	CellFailed   = sweep.StatusFailed
 	CellCanceled = sweep.StatusCanceled
-	// CellStalled marks a cell whose engine call ignored cancellation
-	// and was abandoned by the stall watchdog.
+	// CellStalled marks a cell abandoned by a stall watchdog; the
+	// executor no longer produces it, but older matrices may carry it.
 	CellStalled = sweep.StatusStalled
 	// CellQuarantined marks a cell skipped by the circuit breaker
 	// after too many consecutive hard failures in its kernel's row.
@@ -168,6 +170,11 @@ func SimulateWave(k *Kernel, cfg Config) (SimResult, error) {
 func SimulatePipeline(k *Kernel, cfg Config) (SimResult, error) {
 	return gcn.SimulatePipeline(k, cfg)
 }
+
+// FuncRow adapts a per-cell engine function (Simulate, a custom
+// engine) to the RowEngine a sweep runs, for SweepOptions.Row or
+// FaultInjector.WrapRow.
+func FuncRow(f EngineFunc) RowEngine { return gcn.FuncRow(f) }
 
 // Product is a named product-tier configuration.
 type Product = hw.Product

@@ -109,7 +109,7 @@ func TestFaultToleranceAcceptance(t *testing.T) {
 	// With retries: every cell recovers.
 	in := FaultInjector{ErrorRate: 0.05, Seed: 4}
 	recovered, rep, err := RunSweepContext(context.Background(), ks, space,
-		SweepOptions{Sim: in.Wrap(Simulate), Retries: 3})
+		SweepOptions{Row: in.WrapRow(FuncRow(Simulate)), Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFaultToleranceAcceptance(t *testing.T) {
 	// at 5% per cell no 891-cell row would ever survive intact.
 	in2 := FaultInjector{ErrorRate: 0.001, Seed: 4}
 	partial, rep2, err := RunSweepContext(context.Background(), ks, space,
-		SweepOptions{Sim: in2.Wrap(Simulate)})
+		SweepOptions{Row: in2.WrapRow(FuncRow(Simulate))})
 	if err != nil {
 		t.Fatal(err)
 	}

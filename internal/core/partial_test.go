@@ -35,7 +35,7 @@ func TestSurfacesMaskFailedCells(t *testing.T) {
 	space := partialSpace(t)
 	in := fault.Injector{ErrorRate: 0.3, Seed: 21}
 	m, rep, err := sweep.RunContext(context.Background(), partialKernels(), space,
-		sweep.Options{Sim: in.Wrap(gcn.Simulate)})
+		sweep.Options{Row: in.WrapRow(gcn.RoundRow)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +75,12 @@ func TestSurfacesMaskQuarantinedCells(t *testing.T) {
 	bad := ks[1].Name
 	opts := sweep.Options{
 		Breaker: 3,
-		Sim: func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
+		Row: gcn.FuncRow(func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
 			if k.Name == bad {
 				return gcn.Result{}, errors.New("device lost")
 			}
 			return gcn.Simulate(k, cfg)
-		},
+		}),
 	}
 	m, rep, err := sweep.RunContext(context.Background(), ks, space, opts)
 	if err != nil {
@@ -249,7 +249,7 @@ func TestPartialClassificationMatchesCleanForCoveredKernels(t *testing.T) {
 	}
 	in := fault.Injector{ErrorRate: 0.05, Seed: 2}
 	faulty, rep, err := sweep.RunContext(context.Background(), ks, space,
-		sweep.Options{Sim: in.Wrap(gcn.Simulate)})
+		sweep.Options{Row: in.WrapRow(gcn.RoundRow)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,7 +278,7 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 		c.mTermFenced = r.Counter("dist_completes_term_fenced_total", "Renews and completes rejected because their lease belongs to a deposed coordinator's term.")
 		c.mReplTimeouts = r.Counter("dist_repl_sync_timeouts_total", "Append-before-ack barriers that timed out waiting for the standby and degraded to async.")
 		c.mTerm = r.Gauge("dist_ha_term", "Coordinator term this process believes is current.")
-		c.mReplLag = r.Gauge("dist_repl_lag_records", "Replication-stream records the attached standby has not yet acknowledged.")
+		c.mReplLag = r.Gauge("dist_repl_lag_records", "Replication-stream records the standby has not yet acknowledged (0 until a standby attaches).")
 		c.mTerm.Set(float64(c.term))
 	}
 	return c, nil

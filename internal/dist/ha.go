@@ -246,10 +246,15 @@ func (rl *replLog) latest() int64 {
 }
 
 // lag returns how many published messages the standby has not yet
-// acknowledged.
+// acknowledged, or 0 while no standby has ever tailed — without one
+// there is nothing to lag. A standby detached by a barrier timeout
+// keeps its lag: it is behind, not absent.
 func (rl *replLog) lag() int64 {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
+	if !rl.everTailed {
+		return 0
+	}
 	return rl.base + int64(len(rl.msgs)) - rl.acked
 }
 

@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"gpuscale/internal/obs"
 )
 
 // newHAPair builds a primary coordinator behind a real HTTP server and
@@ -556,4 +558,58 @@ func postJSON(t *testing.T, url string, body any) (int, errorBody) {
 	var eb errorBody
 	json.Unmarshal(data, &eb)
 	return resp.StatusCode, eb
+}
+
+// TestReplLagGauge: with no standby the replication-lag gauge reads 0
+// however many rows complete; once a standby tails, the gauge reads
+// the records it has not acknowledged — also after a barrier timeout
+// detaches it — and drops back to 0 when it catches up.
+func TestReplLagGauge(t *testing.T) {
+	clk := newTestClock()
+	reg := obs.NewRegistry()
+	c, _, s := newHAPair(t, clk, CoordinatorOptions{Metrics: reg})
+	gauge := reg.Gauge("dist_repl_lag_records", "")
+	if err := c.AddJob(testJob(t, "j", 3)); err != nil {
+		t.Fatal(err)
+	}
+	completeRow := func() {
+		t.Helper()
+		l, err := c.acquire(acq("w1"))
+		if err != nil || l == nil {
+			t.Fatalf("acquire: %+v %v", l, err)
+		}
+		if _, err := c.complete(okComplete(t, l, "w1")); err != nil {
+			t.Fatal(err)
+		}
+		c.replBarrier()
+	}
+	completeRow()
+	completeRow()
+	if c.repl.latest() == 0 {
+		t.Fatal("completes published nothing; test proves nothing")
+	}
+	if v := gauge.Value(); v != 0 {
+		t.Fatalf("lag gauge %g with no standby, want 0", v)
+	}
+
+	syncStandby(t, s)
+	acked := c.repl.latest() // the snapshot's cursor
+	completeRow()
+	// The first tail attaches the standby and acknowledges the
+	// snapshot cursor; the row completed since is still unacknowledged,
+	// so the next barrier times out and the gauge shows the gap.
+	if err := s.tailOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c.replBarrier()
+	if want := float64(c.repl.latest() - acked); want <= 0 || gauge.Value() != want {
+		t.Fatalf("lag gauge %g, want %g records behind the standby's cursor", gauge.Value(), want)
+	}
+	if err := s.tailOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c.replBarrier()
+	if v := gauge.Value(); v != 0 {
+		t.Fatalf("lag gauge %g after the standby caught up, want 0", v)
+	}
 }

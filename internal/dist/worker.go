@@ -43,10 +43,9 @@ type WorkerOptions struct {
 	Client *http.Client
 	// SweepWorkers is the per-row parallelism; <= 0 lets sweep decide.
 	SweepWorkers int
-	// Retries/Backoff/SimTimeout pass through to the row sweep.
-	Retries    int
-	Backoff    time.Duration
-	SimTimeout time.Duration
+	// Retries/Backoff pass through to the row sweep.
+	Retries int
+	Backoff time.Duration
 	// IdleSleep is the pause after "no work available"; defaults to
 	// 50ms.
 	IdleSleep time.Duration
@@ -397,10 +396,9 @@ func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanCon
 		// The coordinator pre-offset the seed by the global row index;
 		// our local row 0 therefore reproduces the single-node noise
 		// stream for this row exactly.
-		Seed:       lease.Seed,
-		Retries:    w.o.Retries,
-		Backoff:    w.o.Backoff,
-		SimTimeout: w.o.SimTimeout,
+		Seed:    lease.Seed,
+		Retries: w.o.Retries,
+		Backoff: w.o.Backoff,
 		OnRow: func(m *sweep.Matrix, r int) {
 			// The byzantine seam: a lying worker corrupts the row BEFORE
 			// journaling it, so its journal, its wire payload and its

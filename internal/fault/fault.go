@@ -2,7 +2,7 @@
 // for simulator engines — the test rig that stands in for the flaky
 // hardware runs a weeks-long measurement campaign has to survive.
 //
-// An Injector wraps any gcn.EngineFunc and, per invocation, may inject
+// An Injector wraps any gcn.RowEngine and, per invocation, may inject
 // a transient error, corrupt the result (NaN, negative or infinite
 // throughput — the "garbage readings" failure mode), stall the call
 // for a configurable duration (the "hung run" failure mode), delay it
@@ -77,9 +77,9 @@ var ErrPartitioned = errors.New("fault: injected network partition")
 var ErrWriteFail = errors.New("fault: injected write error (device full)")
 
 // Injector describes a fault model. The zero value injects nothing and
-// wraps an engine into itself (modulo attempt accounting). Rates are
-// probabilities in [0,1] evaluated in order: error, then corruption,
-// then stall — at most one fault fires per invocation.
+// wraps an engine into itself. Rates are probabilities in [0,1]
+// evaluated in order: error, then corruption, then stall — at most one
+// fault fires per invocation.
 type Injector struct {
 	// ErrorRate is the probability an invocation fails with a
 	// transient error wrapping ErrInjected.
@@ -88,9 +88,8 @@ type Injector struct {
 	// returns a corrupted Result (NaN, negative or +Inf throughput,
 	// rotating deterministically per cell).
 	CorruptRate float64
-	// StallRate is the probability an invocation is delayed by Stall
-	// before running — emulates a hung run that a per-simulation
-	// timeout must reap.
+	// StallRate is the probability an invocation is delayed by Stall —
+	// emulates a hung run.
 	StallRate float64
 	// PanicRate is the probability an invocation panics instead of
 	// returning — emulates an engine/driver crash that the executor's
@@ -107,7 +106,7 @@ type Injector struct {
 	// TornWriteRate is the probability a WrapWriter write is cut
 	// short: a deterministic prefix reaches the underlying writer and
 	// the call returns ErrTornWrite. Independent of the engine-side
-	// rates; it never fires through Wrap.
+	// rates; it never fires through WrapRow.
 	TornWriteRate float64
 	// WriteErrRate is the probability a WrapWriter write fails with
 	// ErrWriteFail after a deterministic prefix landed — the ENOSPC /
@@ -119,7 +118,7 @@ type Injector struct {
 	// shipping it — the lying-fleet-member model distributed
 	// attestation exists to catch. The tampered values stay plausible
 	// (positive, finite), so only digest comparison against an honest
-	// re-execution can expose them. Never fires through Wrap,
+	// re-execution can expose them. Never fires through WrapRow,
 	// WrapWriter or WrapTransport.
 	CorruptRowRate float64
 	// StaleVersion, when non-empty, is the protocol version string a
@@ -269,54 +268,24 @@ func (in Injector) Validate() error {
 	return nil
 }
 
-// Active reports whether the injector can fire through Wrap at all.
-// TornWriteRate does not count: it fires through WrapWriter, not the
-// engine path.
+// Active reports whether the injector can fire through WrapRow at
+// all. TornWriteRate does not count: it fires through WrapWriter, not
+// the engine path.
 func (in Injector) Active() bool {
 	return in.ErrorRate > 0 || in.CorruptRate > 0 || in.StallRate > 0 || in.PanicRate > 0 || in.LatencyRate > 0
 }
 
-// Wrap returns an engine that runs sim under this fault model. The
-// returned engine tracks attempt counts per (kernel, configuration)
-// cell and is safe for concurrent use; wrap once per sweep so retries
-// of a cell advance its attempt counter.
-func (in Injector) Wrap(sim gcn.EngineFunc) gcn.EngineFunc {
-	if !in.Active() {
-		return sim
-	}
-	st := in.newState()
-	return func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
-		return st.invoke(k.Name, cfg, func() (gcn.Result, error) { return sim(k, cfg) })
-	}
-}
-
 // WrapRow returns a row engine that runs re under this fault model.
-// Decisions are the same pure function of (kernel, configuration,
-// attempt, seed) that Wrap uses, so a sweep sees identical faults on
-// the row path and the per-cell path given the same invocation
-// sequence. One attempt counter per cell is shared across every row
-// the returned engine prepares — and across any per-cell fallback
-// built over it with gcn.PerCell — so retries keep advancing the same
-// stream no matter which path evaluates them. PrepareRow itself never
-// faults: the model covers engine invocations, not kernel analysis.
+// Every decision is a pure function of (kernel, configuration,
+// attempt, seed); one attempt counter per cell is shared across every
+// row the returned engine prepares, so a retry of a cell sees the next
+// roll of its stream whether it runs through Eval or EvalBatch. Wrap
+// once per sweep. PrepareRow itself never faults: the model covers
+// engine invocations, not kernel analysis.
 func (in Injector) WrapRow(re gcn.RowEngine) gcn.RowEngine {
 	if !in.Active() {
 		return re
 	}
-	return &faultRowEngine{st: in.newState(), re: re}
-}
-
-// faultState is the per-Wrap/WrapRow shared decision state: the model,
-// the resolved stall and latency durations, and the cross-cell attempt
-// counters.
-type faultState struct {
-	in       Injector
-	stall    time.Duration
-	latency  time.Duration
-	attempts sync.Map // cell key -> *attemptCounter
-}
-
-func (in Injector) newState() *faultState {
 	stall := in.Stall
 	if stall <= 0 {
 		stall = 10 * time.Millisecond
@@ -325,17 +294,33 @@ func (in Injector) newState() *faultState {
 	if latency <= 0 {
 		latency = 5 * time.Millisecond
 	}
-	return &faultState{in: in, stall: stall, latency: latency}
+	return &faultRowEngine{st: &faultState{in: in, stall: stall, latency: latency}, re: re}
+}
+
+// faultState is the per-WrapRow shared decision state: the model, the
+// resolved stall and latency durations, and the cross-cell attempt
+// counters.
+type faultState struct {
+	in       Injector
+	stall    time.Duration
+	latency  time.Duration
+	attempts sync.Map // cell key -> *attemptCounter
+}
+
+// next rolls the decision for the cell's next attempt.
+func (s *faultState) next(name string, cfg hw.Config) (key string, attempt uint64, roll float64, sub uint64) {
+	key = cellKey(name, cfg)
+	v, _ := s.attempts.LoadOrStore(key, new(attemptCounter))
+	attempt = v.(*attemptCounter).next()
+	roll, sub = s.in.roll(name, cfg, attempt)
+	return key, attempt, roll, sub
 }
 
 // invoke rolls one fault decision for the cell's next attempt and runs
-// call under it — the single implementation behind Wrap and WrapRow.
+// call under it.
 func (s *faultState) invoke(name string, cfg hw.Config, call func() (gcn.Result, error)) (gcn.Result, error) {
-	key := cellKey(name, cfg)
-	v, _ := s.attempts.LoadOrStore(key, new(attemptCounter))
-	attempt := v.(*attemptCounter).next()
+	key, attempt, roll, sub := s.next(name, cfg)
 	in := s.in
-	roll, sub := in.roll(name, cfg, attempt)
 	switch {
 	case roll < in.ErrorRate:
 		in.decided(name, cfg, attempt, KindError)
@@ -375,17 +360,11 @@ func (f *faultRowEngine) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	fr := faultRow{st: f.st, name: k.Name, pr: pr}
-	if br, ok := pr.(gcn.BatchRow); ok {
-		// Only advertise the batch seam when the row underneath has it,
-		// so wrapping never upgrades an engine's capabilities.
-		return &faultBatchRow{faultRow: fr, br: br}, nil
-	}
-	return &fr, nil
+	return &faultRow{st: f.st, name: k.Name, pr: pr}, nil
 }
 
-// faultRow interposes the fault roll on every Eval; Stats passes
-// through to the prepared row underneath.
+// faultRow interposes the fault roll on every Eval and EvalBatch cell;
+// Stats passes through to the prepared row underneath.
 type faultRow struct {
 	st   *faultState
 	name string
@@ -398,23 +377,14 @@ func (f *faultRow) Eval(cfg hw.Config) (gcn.Result, error) {
 
 func (f *faultRow) Stats() gcn.PreparedStats { return f.pr.Stats() }
 
-// faultBatchRow additionally exposes the batch seam when the wrapped
-// row has one.
-type faultBatchRow struct {
-	faultRow
-	br gcn.BatchRow
-}
-
 // EvalBatch implements gcn.BatchRow under the fault model: the
 // underlying batch evaluates every cell once, then the injector rolls
 // one decision per cell in config order and overlays it on the cell's
-// outcome. Each roll advances the same per-cell attempt counter and is
-// the same pure function of (kernel, configuration, attempt, seed)
-// that Eval rolls, so a sweep draws an identical fault stream whether
-// a row's first attempts run batched or per-cell — and retries, which
-// always run per-cell, continue each cell's stream seamlessly.
-func (f *faultBatchRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
-	if err := f.br.EvalBatch(cfgs, out, errs); err != nil {
+// outcome. Each roll advances the same per-cell attempt counter that
+// Eval advances, so a sweep's retries — batches of one config —
+// continue each cell's stream seamlessly.
+func (f *faultRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
+	if err := f.pr.EvalBatch(cfgs, out, errs); err != nil {
 		return err
 	}
 	for i := range cfgs {
@@ -432,11 +402,8 @@ func (f *faultBatchRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []err
 // produces — and stall/latency sleeps happen after the engine ran
 // rather than before (the delay reaches the caller either way).
 func (s *faultState) overlay(name string, cfg hw.Config, r *gcn.Result, cellErr *error) {
-	key := cellKey(name, cfg)
-	v, _ := s.attempts.LoadOrStore(key, new(attemptCounter))
-	attempt := v.(*attemptCounter).next()
+	key, attempt, roll, sub := s.next(name, cfg)
 	in := s.in
-	roll, sub := in.roll(name, cfg, attempt)
 	switch {
 	case roll < in.ErrorRate:
 		in.decided(name, cfg, attempt, KindError)
@@ -537,7 +504,7 @@ func (in Injector) RowTamper(key string, seq uint64) (bool, uint64) {
 
 // NetworkActive reports whether the injector can fire through
 // WrapTransport at all. Like TornWriteRate, the network rates are
-// independent of the engine path and never fire through Wrap.
+// independent of the engine path and never fire through WrapRow.
 func (in Injector) NetworkActive() bool {
 	return in.DropResponseRate > 0 || in.DuplicateRate > 0 || in.DelayRate > 0 || in.PartitionRate > 0
 }

@@ -29,11 +29,24 @@ func testCells(t *testing.T) ([]*kernel.Kernel, []hw.Config) {
 	return ks, space.Configs()
 }
 
+// cellEngine calls a wrapped row engine one cell at a time: each call
+// prepares the kernel's row afresh, so only the injector's per-cell
+// attempt counters carry state from call to call.
+func cellEngine(re gcn.RowEngine) gcn.EngineFunc {
+	return func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
+		row, err := re.PrepareRow(k)
+		if err != nil {
+			return gcn.Result{}, err
+		}
+		return row.Eval(cfg)
+	}
+}
+
 // faultPattern sweeps every cell once through a fresh wrap and records
 // which cells errored.
 func faultPattern(t *testing.T, in Injector, ks []*kernel.Kernel, cfgs []hw.Config) map[string]bool {
 	t.Helper()
-	eng := in.Wrap(gcn.Simulate)
+	eng := cellEngine(in.WrapRow(gcn.RoundRow))
 	out := map[string]bool{}
 	for _, k := range ks {
 		for _, cfg := range cfgs {
@@ -94,7 +107,7 @@ func TestInjectorRetrySeesIndependentRoll(t *testing.T) {
 	ks, cfgs := testCells(t)
 	// With a 50% error rate, some cell must fail on attempt 0 and
 	// succeed on attempt 1 within a handful of cells.
-	eng := Injector{ErrorRate: 0.5, Seed: 1}.Wrap(gcn.Simulate)
+	eng := cellEngine(Injector{ErrorRate: 0.5, Seed: 1}.WrapRow(gcn.RoundRow))
 	recovered := false
 	for _, k := range ks {
 		for _, cfg := range cfgs {
@@ -112,7 +125,7 @@ func TestInjectorRetrySeesIndependentRoll(t *testing.T) {
 
 func TestInjectorCorruptsResults(t *testing.T) {
 	ks, cfgs := testCells(t)
-	eng := Injector{CorruptRate: 1, Seed: 2}.Wrap(gcn.Simulate)
+	eng := cellEngine(Injector{CorruptRate: 1, Seed: 2}.WrapRow(gcn.RoundRow))
 	sawNaN, sawNeg, sawInf := false, false, false
 	for _, k := range ks {
 		for _, cfg := range cfgs {
@@ -139,7 +152,7 @@ func TestInjectorCorruptsResults(t *testing.T) {
 
 func TestInjectorStalls(t *testing.T) {
 	ks, cfgs := testCells(t)
-	eng := Injector{StallRate: 1, Stall: 20 * time.Millisecond, Seed: 4}.Wrap(gcn.Simulate)
+	eng := cellEngine(Injector{StallRate: 1, Stall: 20 * time.Millisecond, Seed: 4}.WrapRow(gcn.RoundRow))
 	start := time.Now()
 	if _, err := eng(ks[0], cfgs[0]); err != nil {
 		t.Fatal(err)
@@ -155,13 +168,13 @@ func TestInjectorLatencyIsDeterministicAndBounded(t *testing.T) {
 	var decisions []Decision
 	in := Injector{LatencyRate: 1, Latency: max, Seed: 5,
 		OnDecision: func(d Decision) { decisions = append(decisions, d) }}
-	eng := in.Wrap(gcn.Simulate)
+	eng := cellEngine(in.WrapRow(gcn.RoundRow))
 	// Same cell, fresh wraps: attempt 0's delay must reproduce exactly,
 	// and every call must be delayed but never past the configured max
 	// (plus the simulation itself, which is microseconds here).
 	var first [2]time.Duration
 	for i := range first {
-		eng2 := in.Wrap(gcn.Simulate)
+		eng2 := cellEngine(in.WrapRow(gcn.RoundRow))
 		start := time.Now()
 		if _, err := eng2(ks[0], cfgs[0]); err != nil {
 			t.Fatal(err)
@@ -206,7 +219,7 @@ func TestInjectorLatencyIsDeterministicAndBounded(t *testing.T) {
 
 func TestInjectorZeroValueIsPassthrough(t *testing.T) {
 	ks, cfgs := testCells(t)
-	eng := Injector{}.Wrap(gcn.Simulate)
+	eng := cellEngine(Injector{}.WrapRow(gcn.RoundRow))
 	for _, k := range ks {
 		for _, cfg := range cfgs {
 			got, err := eng(k, cfg)
@@ -253,7 +266,7 @@ func TestInjectorPanics(t *testing.T) {
 	ks, cfgs := testCells(t)
 	var decisions []Kind
 	in := Injector{PanicRate: 1, Seed: 6, OnDecision: func(d Decision) { decisions = append(decisions, d.Kind) }}
-	eng := in.Wrap(gcn.Simulate)
+	eng := cellEngine(in.WrapRow(gcn.RoundRow))
 	panicked := func() (p any) {
 		defer func() { p = recover() }()
 		eng(ks[0], cfgs[0])

@@ -23,7 +23,7 @@ func TestOnDecisionFiresForEveryFault(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	eng := in.Wrap(gcn.Simulate)
+	eng := cellEngine(in.WrapRow(gcn.RoundRow))
 	faults := 0
 	for _, k := range ks {
 		for _, cfg := range cfgs {
@@ -66,7 +66,7 @@ func TestObserveCountsByKindAndEmitsSpans(t *testing.T) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	in := Injector{ErrorRate: 0.1, CorruptRate: 0.1, Seed: 7, OnDecision: Observe(reg, tw)}
-	eng := in.Wrap(gcn.Simulate)
+	eng := cellEngine(in.WrapRow(gcn.RoundRow))
 	for _, k := range ks {
 		for _, cfg := range cfgs {
 			eng(k, cfg) //nolint:errcheck // outcomes audited via counters

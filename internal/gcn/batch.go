@@ -40,16 +40,15 @@ import (
 // ErrBatchPanic marks a per-cell engine panic that was isolated inside
 // a batch evaluation: the cell's error wraps it, and the remaining
 // cells of the batch still evaluate. The sweep maps it onto its own
-// engine-panic classification so batched and per-cell rows report
-// identical statuses.
+// final engine-panic classification.
 var ErrBatchPanic = errors.New("gcn: engine panicked during batch evaluation")
 
-// BatchRow is the optional batch extension of PreparedRow: evaluating
-// the whole config axis in one call. Implementations must fill
-// out[i]/errs[i] for every i < len(cfgs); a non-nil return value is a
-// row-level failure (undersized buffers, lowering failure) after which
-// the per-cell contents are unspecified and the caller should fall
-// back to Eval. Configurations must already be validated, exactly as
+// BatchRow is the batch half of PreparedRow: evaluating a slice of
+// the config axis in one call. Implementations must fill out[i]/errs[i]
+// for every i < len(cfgs); a non-nil return value is a row-level
+// failure (undersized buffers, lowering failure) after which the
+// per-cell contents are unspecified — the sweep records it as every
+// cell's error. Configurations must already be validated, exactly as
 // for Eval.
 type BatchRow interface {
 	EvalBatch(cfgs []hw.Config, out []Result, errs []error) error
@@ -341,8 +340,9 @@ func evalCellIsolated(p *Prepared, eval func(*Prepared, hw.Config) (Result, erro
 
 // EvalBatch implements BatchRow for every engine's prepared row. The
 // round engine dispatches to its columnar evaluator; the event-driven
-// engines loop the per-cell evaluator with panic isolation, which
-// still amortizes prepare, memo, and scratch reuse across the axis.
+// engines (and FuncRow) loop the per-cell evaluator with panic
+// isolation, which still amortizes prepare, memo, and scratch reuse
+// across the axis.
 func (r preparedRow) EvalBatch(cfgs []hw.Config, out []Result, errs []error) error {
 	if len(out) < len(cfgs) || len(errs) < len(cfgs) {
 		return fmt.Errorf("gcn: EvalBatch: %d configs, %d results, %d errors", len(cfgs), len(out), len(errs))

@@ -42,6 +42,11 @@ import (
 // resources of one compute unit.
 var ErrDoesNotFit = errors.New("gcn: workgroup does not fit on a compute unit")
 
+// ErrBudget reports an evaluation that would exceed an engine's fixed
+// work budget (the wave engine's event cap). The overrun is a pure
+// function of the kernel and configuration, so retrying cannot help.
+var ErrBudget = errors.New("gcn: work budget exceeded")
+
 // Bound names the resource that limited a simulated execution.
 type Bound int
 
@@ -96,9 +101,8 @@ type Result struct {
 
 // EngineFunc is the signature every simulator engine shares: one
 // kernel on one configuration to one Result. Simulate,
-// SimulateDetailed, SimulateWave and SimulatePipeline all satisfy it,
-// as do wrappers such as the fault injector; the sweep harness is
-// written against this type rather than a concrete engine.
+// SimulateDetailed, SimulateWave and SimulatePipeline all satisfy it;
+// FuncRow adapts one to the RowEngine seam the sweep harness runs.
 type EngineFunc func(*kernel.Kernel, hw.Config) (Result, error)
 
 // L2BytesPerCoreCycle is the aggregate L2/interconnect bandwidth in

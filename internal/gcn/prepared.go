@@ -18,10 +18,10 @@ import (
 // prepared state, two memos keyed on each sub-computation's true
 // inputs, and reusable scratch arenas for the event-driven engines.
 //
-// The legacy per-cell entry points (Simulate, SimulateWave,
+// The one-shot per-cell entry points (Simulate, SimulateWave,
 // SimulatePipeline, SimulateDetailed) are thin wrappers that prepare
-// a fresh kernel per call, so both paths run the same core code and
-// agree bit for bit.
+// a fresh kernel per call, so both run the same core code and agree
+// bit for bit.
 
 // PreparedStats counts the memoization behaviour of one prepared
 // kernel: how often the resident-set cycle simulation and the cache
@@ -214,8 +214,11 @@ func (p *Prepared) residentSetCycles(prog *isa.Program, wgs, wavesPerWG int, lat
 }
 
 // PreparedRow is one kernel prepared for a row of evaluations on one
-// engine.
+// engine. The sweep evaluates a row through EvalBatch — the whole axis
+// first, then single-config batches for retries; Eval is the scalar
+// reference the batch is checked against.
 type PreparedRow interface {
+	BatchRow
 	// Eval evaluates the prepared kernel on one configuration. The
 	// configuration must already be validated; Eval skips the
 	// re-check. Like Prepared, a PreparedRow reuses internal scratch
@@ -235,9 +238,8 @@ type RowEngine interface {
 	PrepareRow(k *kernel.Kernel) (PreparedRow, error)
 }
 
-// Row engines for the four simulators. Every prepared row also
-// implements BatchRow; the round engine additionally routes batches
-// through its columnar evaluator.
+// Row engines for the four simulators. The round engine routes
+// batches through its columnar evaluator; the others loop Eval.
 var (
 	RoundRow    RowEngine = rowEngine{eval: (*Prepared).EvalRound, batch: roundBatchRow}
 	WaveRow     RowEngine = rowEngine{eval: (*Prepared).EvalWave}
@@ -265,26 +267,24 @@ type preparedRow struct {
 }
 
 func (r preparedRow) Eval(cfg hw.Config) (Result, error) { return r.eval(r.p, cfg) }
-func (r preparedRow) Stats() PreparedStats               { return r.p.Stats() }
 
-// PerCell adapts a row engine back to the per-cell EngineFunc
-// contract: every call prepares afresh, shares no state with any
-// other call, and re-validates the configuration. It is the
-// degradation path the sweep falls back to when a prepared row must
-// be abandoned (an abandoned engine call may still own the row's
-// scratch), and wrapping a fault-injected row engine with it keeps
-// both paths drawing from the same fault decision stream.
-func PerCell(e RowEngine) EngineFunc {
-	return func(k *kernel.Kernel, cfg hw.Config) (Result, error) {
-		row, err := e.PrepareRow(k)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := cfg.Validate(); err != nil {
-			return Result{}, err
-		}
-		return row.Eval(cfg)
+func (r preparedRow) Stats() PreparedStats {
+	if r.p == nil {
+		return PreparedStats{}
 	}
+	return r.p.Stats()
+}
+
+// FuncRow adapts a per-cell engine function to the RowEngine seam, so a
+// custom or fault-wrapped EngineFunc can drive a sweep. PrepareRow does
+// no kernel analysis (f sees every cell, errors included), Eval calls
+// f, and EvalBatch loops f with per-cell panic isolation.
+func FuncRow(f EngineFunc) RowEngine { return funcRow(f) }
+
+type funcRow EngineFunc
+
+func (f funcRow) PrepareRow(k *kernel.Kernel) (PreparedRow, error) {
+	return preparedRow{eval: func(_ *Prepared, cfg hw.Config) (Result, error) { return f(k, cfg) }}, nil
 }
 
 // growF returns a zeroed float64 slice of length n, reusing capacity.

@@ -124,24 +124,39 @@ func TestPreparedRowMatchesPerCell(t *testing.T) {
 	}
 }
 
+// TestPerCellAdapterMatchesSimulate: FuncRow, the adapter that plugs
+// a per-cell function into the row seam, must reproduce the function
+// exactly through Eval and EvalBatch, and pass its errors through.
 func TestPerCellAdapterMatchesSimulate(t *testing.T) {
-	sim := PerCell(PipelineRow)
 	k := cuIntolerantKernel()
-	for _, cfg := range preparedTestConfigs()[:4] {
+	row, err := FuncRow(SimulatePipeline).PrepareRow(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := preparedTestConfigs()[:4]
+	out := make([]Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	if err := row.EvalBatch(cfgs, out, errs); err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
 		want, err := SimulatePipeline(k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sim(k, cfg)
-		if err != nil {
-			t.Fatal(err)
+		got, err := row.Eval(cfg)
+		if err != nil || errs[i] != nil {
+			t.Fatal(err, errs[i])
 		}
-		if !bitsEqual(got, want) {
-			t.Fatalf("PerCell %+v != SimulatePipeline %+v on %v", got, want, cfg)
+		if !bitsEqual(got, want) || !bitsEqual(out[i], want) {
+			t.Fatalf("FuncRow %+v / batch %+v != SimulatePipeline %+v on %v", got, out[i], want, cfg)
 		}
 	}
-	if _, err := sim(k, hw.Config{}); err == nil {
-		t.Fatal("PerCell accepted an invalid config")
+	if _, err := row.Eval(hw.Config{}); err == nil {
+		t.Fatal("FuncRow hid the engine's invalid-config error")
+	}
+	if row.Stats() != (PreparedStats{}) {
+		t.Fatalf("FuncRow reported memo stats %+v", row.Stats())
 	}
 }
 

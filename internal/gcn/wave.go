@@ -276,7 +276,7 @@ func (p *Prepared) EvalWave(cfg hw.Config) (Result, error) {
 	if totalWaves > maxWaveEvents {
 		// Each wave contributes at least one event, so the launch
 		// cannot finish within the budget; fail before allocating.
-		return Result{}, fmt.Errorf("gcn: wave engine exceeded %d events on %s (launch too large)",
+		return Result{}, fmt.Errorf("%w: wave engine exceeded %d events on %s (launch too large)", ErrBudget,
 			maxWaveEvents, k.Name)
 	}
 
@@ -401,7 +401,7 @@ func (p *Prepared) EvalWave(cfg hw.Config) (Result, error) {
 	for q.n > 0 {
 		processed++
 		if processed > maxWaveEvents {
-			return Result{}, fmt.Errorf("gcn: wave engine exceeded %d events on %s (launch too large)",
+			return Result{}, fmt.Errorf("%w: wave engine exceeded %d events on %s (launch too large)", ErrBudget,
 				maxWaveEvents, k.Name)
 		}
 		ev := q.pop()

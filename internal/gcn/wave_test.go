@@ -140,3 +140,13 @@ func TestWaveEngineTailEffect(t *testing.T) {
 		t.Fatalf("tail workgroup more than doubled time: %g vs %g", t45, t44)
 	}
 }
+
+// TestWaveBudgetOverrunIsErrBudget: a launch with more waves than the
+// event cap fails up front with an error wrapping ErrBudget.
+func TestWaveBudgetOverrunIsErrBudget(t *testing.T) {
+	huge := kernel.New("s", "p", "huge").Geometry(maxWaveEvents/4+1, 256).MustBuild()
+	_, err := SimulateWave(huge, hw.Reference())
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("oversized launch returned %v, want ErrBudget", err)
+	}
+}

@@ -371,9 +371,11 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for i, k := range keys {
 		ss[i] = r.series[k]
 	}
-	fams := map[string]*family{}
+	// Families are copied by value: register may still fill in a help
+	// text after the lock is released.
+	fams := map[string]family{}
 	for n, f := range r.families {
-		fams[n] = f
+		fams[n] = *f
 	}
 	r.mu.Unlock()
 

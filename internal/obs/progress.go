@@ -24,6 +24,9 @@ type Progress struct {
 	total uint64
 	start time.Time
 	last  time.Time
+	// wmu serializes line writes: sweep workers emit concurrently
+	// into one shared writer.
+	wmu sync.Mutex
 }
 
 // NewProgress returns a reporter whose completion count comes from
@@ -125,7 +128,7 @@ func (p *Progress) MaybeEmit(w io.Writer) bool {
 	}
 	p.last = now
 	p.mu.Unlock()
-	fmt.Fprintln(w, p.Line())
+	p.writeLine(w)
 	return true
 }
 
@@ -135,5 +138,12 @@ func (p *Progress) Emit(w io.Writer) {
 	p.mu.Lock()
 	p.last = p.now()
 	p.mu.Unlock()
-	fmt.Fprintln(w, p.Line())
+	p.writeLine(w)
+}
+
+func (p *Progress) writeLine(w io.Writer) {
+	line := p.Line()
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	fmt.Fprintln(w, line)
 }

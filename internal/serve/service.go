@@ -49,12 +49,10 @@ type Config struct {
 	// crash-only persistence makes that safe, it just recomputes more
 	// rows on the next start.
 	DrainGrace time.Duration
-	// Retries, Backoff, SimTimeout and StallGrace are the per-cell
-	// executor knobs applied to every job (see sweep.Options).
-	Retries    int
-	Backoff    time.Duration
-	SimTimeout time.Duration
-	StallGrace time.Duration
+	// Retries and Backoff are the per-cell executor knobs applied to
+	// every job (see sweep.Options).
+	Retries int
+	Backoff time.Duration
 	// Breaker is the per-kernel circuit breaker threshold (0 disables).
 	Breaker int
 	// RunSweep, when non-nil, executes each job's sweep in place of
@@ -753,8 +751,6 @@ func (s *Service) runJob(j *job) {
 		Seed:        j.spec.Seed,
 		Retries:     maxInt(j.spec.Retries, s.cfg.Retries),
 		Backoff:     s.cfg.Backoff,
-		SimTimeout:  s.cfg.SimTimeout,
-		StallGrace:  s.cfg.StallGrace,
 		Breaker:     s.cfg.Breaker,
 	}
 	if s.cfg.Injector.Active() {

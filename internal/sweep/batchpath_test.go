@@ -14,9 +14,22 @@ import (
 
 // The batched config-axis path must be invisible in the data: a sweep
 // whose rows evaluate through one EvalBatch call has to produce
-// matrices and accounting byte-identical to the per-cell prepared
-// path, with or without fault injection, and its instruments have to
-// say how much work actually batched.
+// matrices and accounting byte-identical to the same prepared rows
+// evaluated one config at a time through Eval, with or without fault
+// injection.
+
+// scalarRows is the per-config reference: the row engine's prepared
+// rows with EvalBatch looping the scalar Eval (FuncRow supplies the
+// per-cell panic isolation).
+type scalarRows struct{ re gcn.RowEngine }
+
+func (e scalarRows) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error) {
+	pr, err := e.re.PrepareRow(k)
+	if err != nil {
+		return nil, err
+	}
+	return gcn.FuncRow(func(_ *kernel.Kernel, cfg hw.Config) (gcn.Result, error) { return pr.Eval(cfg) }).PrepareRow(k)
+}
 
 func TestBatchPathMatchesDisabledBatchAllEngines(t *testing.T) {
 	space := testSpace(t)
@@ -34,21 +47,12 @@ func TestBatchPathMatchesDisabledBatchAllEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 			scalar, srep, err := RunContext(context.Background(), ks, space,
-				Options{Engine: e, DisableBatch: true})
+				Options{Row: scalarRows{e.Row()}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a, b := csvBytes(t, batch), csvBytes(t, scalar); !bytes.Equal(a, b) {
 				t.Fatalf("engine %s: batched matrix differs from per-cell prepared matrix", e)
-			}
-			if brep.Prepared.BatchedRows != len(ks) {
-				t.Fatalf("batched rows = %d, want %d (%+v)", brep.Prepared.BatchedRows, len(ks), brep.Prepared)
-			}
-			if brep.Prepared.BatchFallbackCells != 0 {
-				t.Fatalf("fault-free batch reported %d fallback cells", brep.Prepared.BatchFallbackCells)
-			}
-			if srep.Prepared.BatchedRows != 0 || srep.Prepared.BatchFallbackCells != 0 {
-				t.Fatalf("DisableBatch still batched: %+v", srep.Prepared)
 			}
 			if brep.OK != srep.OK || brep.Attempts != srep.Attempts {
 				t.Fatalf("accounting diverged: batch %+v vs scalar %+v", brep, srep)
@@ -60,9 +64,10 @@ func TestBatchPathMatchesDisabledBatchAllEngines(t *testing.T) {
 // TestBatchPathFaultEquivalence storms the batch path with every
 // engine-side fault kind — including injected panics mid-batch — and
 // requires byte-identical matrices and identical retry accounting
-// against both the per-cell prepared path and the legacy per-cell
-// path. This is what proves the fault overlay advances the same
-// per-(cell, attempt) decision stream the per-cell roll does.
+// against both the scalar prepared reference and the one-shot
+// per-cell engine (gcn.FuncRow over Round.Func). This is what proves
+// the fault overlay advances the same per-(cell, attempt) decision
+// stream the scalar Eval roll does.
 func TestBatchPathFaultEquivalence(t *testing.T) {
 	space := testSpace(t)
 	model := fault.Injector{ErrorRate: 0.15, CorruptRate: 0.1, PanicRate: 0.04, LatencyRate: 0.02,
@@ -77,15 +82,14 @@ func TestBatchPathFaultEquivalence(t *testing.T) {
 	}
 
 	scalarOpts := base
-	scalarOpts.Row = model.WrapRow(Round.Row())
-	scalarOpts.DisableBatch = true
+	scalarOpts.Row = scalarRows{model.WrapRow(Round.Row())}
 	scalar, scalarRep, err := RunContext(context.Background(), testKernels(), space, scalarOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	perOpts := base
-	perOpts.Sim = model.Wrap(Round.Func())
+	perOpts.Row = model.WrapRow(gcn.FuncRow(Round.Func()))
 	perCell, perRep, err := RunContext(context.Background(), testKernels(), space, perOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +112,6 @@ func TestBatchPathFaultEquivalence(t *testing.T) {
 	}
 	if batchRep.Failed == 0 || batchRep.Retries == 0 {
 		t.Fatalf("fault storm too quiet to prove anything: %+v", batchRep)
-	}
-	if batchRep.Prepared.BatchedRows != len(testKernels()) {
-		t.Fatalf("faulted rows did not batch: %+v", batchRep.Prepared)
-	}
-	if batchRep.Prepared.BatchFallbackCells == 0 {
-		t.Fatalf("fault storm produced no per-cell fallbacks: %+v", batchRep.Prepared)
 	}
 }
 
@@ -150,7 +148,7 @@ func TestBatchInjectedPanicIsFinal(t *testing.T) {
 }
 
 // rowLevelBatchFail wraps a row engine so every EvalBatch fails at the
-// row level, forcing the sweep's whole-row per-cell fallback.
+// row level.
 type rowLevelBatchFail struct{ re gcn.RowEngine }
 
 type rowLevelBatchFailRow struct{ gcn.PreparedRow }
@@ -169,50 +167,29 @@ func (rowLevelBatchFailRow) EvalBatch([]hw.Config, []gcn.Result, []error) error 
 	return errRowBatch
 }
 
-func TestRowLevelBatchFailureFallsBackPerCell(t *testing.T) {
+// TestRowLevelBatchErrorFailsEveryCell: a row-level batch error is
+// every cell's first-attempt error — there is no per-cell fallback —
+// and each retry, a batch of one config, fails the same way.
+func TestRowLevelBatchErrorFailsEveryCell(t *testing.T) {
 	space := testSpace(t)
 	ks := testKernels()
-	broken, brep, err := RunContext(context.Background(), ks, space,
-		Options{Row: rowLevelBatchFail{Round.Row()}})
+	m, rep, err := RunContext(context.Background(), ks, space,
+		Options{Row: rowLevelBatchFail{Round.Row()}, Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, _, err := RunContext(context.Background(), ks, space,
-		Options{Engine: Round, DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
+	checkAccounting(t, rep)
+	if rep.Failed != rep.Cells || rep.Attempts != 3*rep.Cells {
+		t.Fatalf("want every cell failed after 3 attempts: %s", rep.Summary())
 	}
-	if a, b := csvBytes(t, broken), csvBytes(t, scalar); !bytes.Equal(a, b) {
-		t.Fatal("row-level batch failure did not fall back to the per-cell result")
+	for _, f := range rep.Failures {
+		if !errors.Is(f.Err, errRowBatch) {
+			t.Fatalf("failure %v does not carry the row-level batch error", f.Err)
+		}
 	}
-	if brep.Prepared.BatchedRows != 0 {
-		t.Fatalf("failed batches counted as batched rows: %+v", brep.Prepared)
-	}
-	if want := brep.Cells; brep.Prepared.BatchFallbackCells != want {
-		t.Fatalf("fallback cells = %d, want %d", brep.Prepared.BatchFallbackCells, want)
-	}
-}
-
-func TestTelemetryPublishesBatchCounters(t *testing.T) {
-	space := testSpace(t)
-	ks := testKernels()
-	tel := NewTelemetry(nil, nil)
-	_, rep, err := RunContext(context.Background(), ks, space,
-		Options{Engine: Round, Workers: 1, Observer: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Prepared.BatchedRows != len(ks) {
-		t.Fatalf("batched rows = %d, want %d", rep.Prepared.BatchedRows, len(ks))
-	}
-	got := map[string]float64{}
-	for _, s := range tel.Registry().Snapshot() {
-		got[s.Name] = s.Value
-	}
-	if v := got[MetricBatchedRows]; v != float64(len(ks)) {
-		t.Fatalf("%s = %g, want %d", MetricBatchedRows, v, len(ks))
-	}
-	if v, present := got[MetricBatchFallbackCells]; !present || v != 0 {
-		t.Fatalf("%s = %g (present %v), want 0 and registered", MetricBatchFallbackCells, v, present)
+	for r := range m.Kernels {
+		if m.RowComplete(r) {
+			t.Fatalf("row %d complete despite failing batches", r)
+		}
 	}
 }

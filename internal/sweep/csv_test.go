@@ -22,7 +22,7 @@ func partialMatrix(t *testing.T, space hw.Space) *Matrix {
 	t.Helper()
 	in := fault.Injector{ErrorRate: 0.3, Seed: 21}
 	m, rep, err := RunContext(context.Background(), testKernels(), space,
-		Options{Sim: in.Wrap(gcn.Simulate)})
+		Options{Row: in.WrapRow(gcn.RoundRow)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +172,12 @@ func TestJournalCheckpointAndRecovery(t *testing.T) {
 	}
 	// Sweep with the journal wired into OnRow, kernel b down.
 	opts := Options{
-		Sim: func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
+		Row: gcn.FuncRow(func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
 			if k.Name == "p.b" {
 				return gcn.Result{}, errors.New("b is down")
 			}
 			return gcn.Simulate(k, cfg)
-		},
+		}),
 		OnRow: func(m *Matrix, r int) {
 			if err := j.AppendRow(m, r); err != nil {
 				t.Errorf("AppendRow: %v", err)

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,14 +108,21 @@ func TestMergeAttested(t *testing.T) {
 	}
 
 	// Same journal, but the coordinator attested different bytes for
-	// the second kernel — the merge must refuse that row by name.
+	// the second kernel — the merge must refuse that row by name and by
+	// its journal position, which follows worker scheduling rather than
+	// kernel order.
+	jm, err := ReadJournal(p, space)
+	if err != nil {
+		t.Fatal(err)
+	}
 	attest[m.Kernels[1]] = "0123456789abcdef"
 	_, err = MergeJournalsAttested(space, attest, p)
 	if err == nil || !strings.Contains(err.Error(), "does not match attested") {
 		t.Fatalf("tampered attestation should be refused, got %v", err)
 	}
-	if !strings.Contains(err.Error(), m.Kernels[1]) || !strings.Contains(err.Error(), "row 1") {
-		t.Fatalf("refusal should name the kernel and row: %v", err)
+	row := fmt.Sprintf("row %d ", jm.Row(m.Kernels[1]))
+	if !strings.Contains(err.Error(), m.Kernels[1]) || !strings.Contains(err.Error(), row) {
+		t.Fatalf("refusal should name the kernel and %q: %v", row, err)
 	}
 	// Rows without an attestation entry are accepted on the journal's
 	// own CRC — partial coverage must not refuse honest rows.
@@ -152,7 +160,13 @@ func TestMergeSalvagedTailDropsRow(t *testing.T) {
 	p, m := sweepToJournal(t, dir, "w.journal", ks, space, 9)
 
 	// Tear the last record mid-line, then let OpenJournal salvage: the
-	// torn row is dropped, the file is clean again.
+	// torn row is dropped, the file is clean again. The last record is
+	// whichever row finished last, which follows worker scheduling.
+	jm, err := ReadJournal(p, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := jm.Kernels[len(jm.Kernels)-1]
 	data, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +190,7 @@ func TestMergeSalvagedTailDropsRow(t *testing.T) {
 		t.Fatalf("salvage should have dropped exactly the torn row: %d rows", len(merged.Kernels))
 	}
 	_, err = CanonicalJournalBytes(merged, m.Kernels)
-	if err == nil || !strings.Contains(err.Error(), "missing") || !strings.Contains(err.Error(), m.Kernels[1]) {
+	if err == nil || !strings.Contains(err.Error(), "missing") || !strings.Contains(err.Error(), torn) {
 		t.Fatalf("canonical render should name the dropped kernel, got %v", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -327,9 +326,9 @@ func TestJournalTornWriteSelfHeals(t *testing.T) {
 
 // TestKillResumeEquivalence is the acceptance drill: one sweep is
 // interrupted by all three simulated failure modes — an engine panic,
-// a stalled engine call abandoned by the watchdog, and a torn journal
-// write left on disk by the "crash" — and the resumed run must
-// produce a matrix byte-identical to an uninterrupted sweep.
+// a cancellation landing mid-sweep, and a torn journal write left on
+// disk by the "crash" — and the resumed run must produce a matrix
+// byte-identical to an uninterrupted sweep.
 func TestKillResumeEquivalence(t *testing.T) {
 	space := testSpace(t)
 	clean, rep, err := RunContext(context.Background(), testKernels(), space, journalOpts())
@@ -341,33 +340,31 @@ func TestKillResumeEquivalence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "crash.journal")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Fault model: rare panics, one long stall. The first stall
-	// decision cancels the sweep mid-flight; the stalled engine call
-	// ignores the cancellation (it is asleep) and the watchdog
-	// abandons it after the grace.
-	var once sync.Once
+	// Fault model: rare panics and one long stall (a hung run the
+	// sweep waits out). Rows run in order on one worker; once a row
+	// holding a panicked cell is journaled the sweep is canceled, so
+	// the rows not yet started settle as canceled.
 	in := fault.Injector{PanicRate: 0.01, StallRate: 0.005, Stall: 300 * time.Millisecond, Seed: 7}
-	in.OnDecision = func(d fault.Decision) {
-		if d.Kind == fault.KindStall {
-			once.Do(cancel)
-		}
-	}
 	j, err := OpenJournal(path, space)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := journalOpts()
-	opts.Workers = 3
-	opts.Sim = in.Wrap(gcn.Simulate)
-	opts.StallGrace = 10 * time.Millisecond
-	opts.OnRow = func(m *Matrix, r int) { _ = j.AppendRow(m, r) }
+	opts.Workers = 1
+	opts.Row = in.WrapRow(gcn.RoundRow)
+	opts.OnRow = func(m *Matrix, r int) {
+		_ = j.AppendRow(m, r)
+		if !m.RowComplete(r) {
+			cancel()
+		}
+	}
 	_, rep1, err := RunContext(ctx, testKernels(), space, opts)
 	if err == nil {
 		t.Fatalf("interrupted sweep reported success: %s", rep1.Summary())
 	}
 	checkAccounting(t, rep1)
-	if rep1.Stalled == 0 {
-		t.Fatalf("no stalled cell despite watchdog drill: %s", rep1.Summary())
+	if rep1.Canceled == 0 {
+		t.Fatalf("no canceled cell despite cancel drill: %s", rep1.Summary())
 	}
 	panicked := false
 	for _, f := range rep1.Failures {
@@ -395,7 +392,7 @@ func TestKillResumeEquivalence(t *testing.T) {
 	}
 	f.Close()
 
-	// Resume: the torn tail is salvaged, the panicked/stalled rows
+	// Resume: the torn tail is salvaged, the panicked/canceled rows
 	// recomputed, and the result is byte-identical.
 	j2, err := OpenJournal(path, space)
 	if err != nil {

@@ -99,9 +99,8 @@ const (
 	// MetricBreakerTrips counts kernel rows whose circuit breaker
 	// opened (Options.Breaker consecutive hard failures).
 	MetricBreakerTrips = "sweep_breaker_trips_total"
-	// MetricPreparedRows counts kernel rows evaluated through the
-	// prepared row path (Options.Row, or the engine default). Published
-	// at SweepEnd, and only when the sweep used that path.
+	// MetricPreparedRows counts kernel rows prepared and evaluated.
+	// Published at SweepEnd, and only when the sweep prepared a row.
 	MetricPreparedRows = "sweep_prepared_rows_total"
 	// MetricResidentSetMemoHits / MetricResidentSetMemoMisses count
 	// resident-set pipeline simulations served from (or inserted into)
@@ -114,15 +113,6 @@ const (
 	// the cache-hit-rate model memo.
 	MetricHitRateMemoHits   = "sweep_hitrate_memo_hits_total"
 	MetricHitRateMemoMisses = "sweep_hitrate_memo_misses_total"
-	// MetricBatchedRows counts kernel rows whose first attempts ran
-	// through one whole-axis EvalBatch call. Published at SweepEnd,
-	// only when the sweep batched (or tried to batch) at least one row.
-	MetricBatchedRows = "sweep_batched_rows_total"
-	// MetricBatchFallbackCells counts per-cell engine invocations that
-	// batching rows still needed: retries of batched cells whose first
-	// attempt faulted, plus every cell of rows whose batch call failed
-	// at the row level.
-	MetricBatchFallbackCells = "sweep_batch_fallback_cells_total"
 )
 
 // Telemetry is the production Observer: it feeds an obs.Registry
@@ -375,8 +365,8 @@ func (t *Telemetry) RowDone(row int, kernel string, queueWait, d time.Duration) 
 }
 
 // SweepEnd implements Observer. Prepared-row counters are registered
-// here rather than in NewTelemetry so sweeps on the legacy per-cell
-// path don't export always-zero series.
+// here rather than in NewTelemetry so a sweep that prepared no row
+// (every row reused by Resume) exports no always-zero series.
 func (t *Telemetry) SweepEnd(rep *RunReport) {
 	if p := rep.Prepared; p.Rows > 0 {
 		t.reg.Counter(MetricPreparedRows, "kernel rows evaluated via the prepared row path").Add(uint64(p.Rows))
@@ -384,10 +374,6 @@ func (t *Telemetry) SweepEnd(rep *RunReport) {
 		t.reg.Counter(MetricResidentSetMemoMisses, "resident-set simulations computed and memoized").Add(uint64(p.ResidentSetMisses))
 		t.reg.Counter(MetricHitRateMemoHits, "hit-rate model evaluations served from a row memo").Add(uint64(p.HitRateHits))
 		t.reg.Counter(MetricHitRateMemoMisses, "hit-rate model evaluations computed and memoized").Add(uint64(p.HitRateMisses))
-		if p.BatchedRows > 0 || p.BatchFallbackCells > 0 {
-			t.reg.Counter(MetricBatchedRows, "kernel rows evaluated via one whole-axis batch call").Add(uint64(p.BatchedRows))
-			t.reg.Counter(MetricBatchFallbackCells, "per-cell invocations batching rows still needed").Add(uint64(p.BatchFallbackCells))
-		}
 	}
 	if t.tw != nil {
 		t.emitComplete("sweep", "sweep", 0, t.sweepStart, rep.WallTime, map[string]any{

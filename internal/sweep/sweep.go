@@ -2,21 +2,20 @@
 // stores the resulting performance matrices — the data-collection
 // harness that stands in for the paper's weeks of hardware runs.
 //
-// Real measurement campaigns are flaky: individual runs hang, die, or
-// return garbage. The runtime therefore treats every cell as fallible:
-// it validates results, retries transient failures with capped
-// exponential backoff, bounds each simulation with a timeout, honours
-// context cancellation, and — instead of aborting the whole sweep —
-// records a per-cell Status so partial matrices are first-class and a
-// later Resume can fill in only the missing rows.
+// Real measurement campaigns are flaky: individual runs die or return
+// garbage. The runtime therefore treats every cell as fallible: it
+// validates results, retries transient failures with capped
+// exponential backoff, honours context cancellation between cells,
+// and — instead of aborting the whole sweep — records a per-cell
+// Status so partial matrices are first-class and a later Resume can
+// fill in only the missing rows.
 //
-// The executor is additionally crash-only: a panicking engine is
-// isolated per cell (the panic becomes a CellFailure with a captured
-// stack), a stall watchdog abandons engine calls that ignore context
-// cancellation past Options.StallGrace, and a per-kernel circuit
-// breaker quarantines the rest of a row after Options.Breaker
-// consecutive hard failures instead of burning retry budgets on a
-// kernel that is clearly down.
+// The executor evaluates each kernel row in one batch over the whole
+// configuration axis (gcn.BatchRow) and is crash-only: a panicking
+// engine is isolated per cell (the panic becomes a CellFailure with a
+// captured stack), and a per-kernel circuit breaker quarantines the
+// rest of a row after Options.Breaker consecutive hard failures
+// instead of burning retry budgets on a kernel that is clearly down.
 package sweep
 
 import (
@@ -74,7 +73,8 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("sweep: unknown engine %q (want round, detailed, wave or pipeline)", s)
 }
 
-// Func returns the engine's per-cell simulator function.
+// Func returns the engine's per-cell simulator function (wrap it with
+// gcn.FuncRow to sweep through it).
 func (e Engine) Func() gcn.EngineFunc {
 	switch e {
 	case Detailed:
@@ -108,9 +108,6 @@ func (e Engine) Row() gcn.RowEngine {
 // a transient measurement fault and retried like an error.
 var ErrCorruptResult = errors.New("sweep: corrupt result")
 
-// ErrSimTimeout marks a simulation that exceeded Options.SimTimeout.
-var ErrSimTimeout = errors.New("sweep: simulation timed out")
-
 // ErrEnginePanic marks a simulator invocation that panicked. The panic
 // is confined to its cell: the wrapped error carries the panic value
 // and the captured stack, the cell is marked StatusFailed without
@@ -118,43 +115,18 @@ var ErrSimTimeout = errors.New("sweep: simulation timed out")
 // and the sweep continues.
 var ErrEnginePanic = errors.New("sweep: engine panicked")
 
-// ErrStalled marks an engine call that kept running past context
-// cancellation plus Options.StallGrace. The call's goroutine is
-// abandoned (Go cannot kill it) and the cell is marked StatusStalled
-// so the row settles instead of hanging the sweep.
-var ErrStalled = errors.New("sweep: engine ignored cancellation")
-
 // Options configures a sweep run.
 type Options struct {
 	// Workers is the parallel worker count; <= 0 uses GOMAXPROCS.
 	Workers int
 	// Engine selects the simulator fidelity.
 	Engine Engine
-	// Sim, when non-nil, overrides Engine with an arbitrary per-cell
-	// simulator function — the seam where fault injection and custom
-	// engines plug in. Setting Sim alone forces the legacy per-cell
-	// path for every cell.
-	Sim gcn.EngineFunc
-	// Row, when non-nil, overrides Engine with a row-granular engine:
-	// each kernel row is prepared once (validation, lowering, derived
-	// state) and then evaluated per configuration with shared memoized
-	// state. When neither Sim nor Row is set the sweep defaults to
-	// Engine.Row() — the prepared path — with gcn.PerCell(Row) as the
-	// per-cell fallback used after an abandoned engine call (timeout
-	// or stall) poisons a row's shared scratch. When both are set, Row
-	// drives the cells and Sim is the fallback. Retry, fault,
-	// breaker, observer and journal semantics are identical on both
-	// paths.
+	// Row, when non-nil, overrides Engine with an arbitrary row engine
+	// — the seam where fault injection (fault.Injector.WrapRow) and
+	// custom engines plug in; gcn.FuncRow adapts a per-cell function.
+	// Each kernel row is prepared once and its whole config axis
+	// evaluated in one EvalBatch call.
 	Row gcn.RowEngine
-	// DisableBatch forces per-cell evaluation even when the row engine
-	// implements gcn.BatchRow. By default a prepared row that supports
-	// batching evaluates the whole config axis in one EvalBatch call
-	// (results are bit-identical; per-cell faults, retries, status and
-	// observer events are preserved), which amortizes the per-cell call
-	// overhead across the row. Batching is automatically skipped when
-	// SimTimeout or StallGrace is set: supervision needs one goroutine
-	// per engine invocation, which is exactly the per-cell shape.
-	DisableBatch bool
 	// NoiseStdDev, when positive, multiplies every measured throughput
 	// by a lognormal factor exp(N(0, stddev)) to emulate run-to-run
 	// measurement noise for robustness experiments. The factor's
@@ -172,25 +144,11 @@ type Options struct {
 	// MaxBackoff caps the exponential backoff; defaults to 100 ms
 	// when Backoff is set.
 	MaxBackoff time.Duration
-	// SimTimeout bounds each simulator invocation; expiry counts as a
-	// retryable fault. Zero means no bound. The expired invocation's
-	// goroutine is abandoned and finishes in the background (Go
-	// cannot kill it), so pair timeouts with engines that eventually
-	// return.
-	SimTimeout time.Duration
-	// StallGrace arms the stall watchdog: once the sweep's context is
-	// canceled, an in-flight engine call gets this long to return
-	// before it is abandoned and its cell marked StatusStalled. Zero
-	// disables the watchdog (a canceled in-flight call is abandoned
-	// immediately and its cell marked StatusCanceled, the historical
-	// behaviour). Like SimTimeout, arming it moves each invocation
-	// onto a supervising goroutine.
-	StallGrace time.Duration
 	// Breaker is the per-kernel circuit breaker: after this many
-	// consecutive hard failures (failed or stalled cells) within one
-	// kernel row, the row's remaining cells are marked
-	// StatusQuarantined without invoking the engine, so one
-	// pathologically broken kernel cannot burn the whole retry budget.
+	// consecutive failed cells within one kernel row, the row's
+	// remaining cells are marked StatusQuarantined without spending
+	// retries on them, so one pathologically broken kernel cannot burn
+	// the whole retry budget.
 	// 0 disables the breaker. Quarantined rows are incomplete, so a
 	// later Resume recomputes them.
 	Breaker int
@@ -223,16 +181,16 @@ const (
 	// StatusFailed marks a cell whose attempts were exhausted by
 	// errors or corrupt results.
 	StatusFailed
-	// StatusCanceled marks a cell abandoned because the sweep's
-	// context ended before it could run.
+	// StatusCanceled marks a cell left unsettled because the sweep's
+	// context ended first (its row's batch may already have run).
 	StatusCanceled
-	// StatusStalled marks a cell whose engine call ignored context
-	// cancellation past Options.StallGrace and was abandoned by the
-	// watchdog.
+	// StatusStalled marked a cell whose engine call was abandoned by a
+	// stall watchdog. The executor no longer produces it; the name stays
+	// so matrices and journals that carry it still load and resume.
 	StatusStalled
-	// StatusQuarantined marks a cell skipped by the circuit breaker
-	// after too many consecutive hard failures in its kernel row; the
-	// engine was never invoked for it.
+	// StatusQuarantined marks a cell settled by the circuit breaker
+	// after too many consecutive hard failures in its kernel row; its
+	// result was discarded and no retry was spent on it.
 	StatusQuarantined
 )
 
@@ -373,8 +331,7 @@ type RunReport struct {
 	// BreakerTrips counts kernel rows whose circuit breaker opened
 	// (Options.Breaker consecutive hard failures).
 	BreakerTrips int
-	// Prepared aggregates row-engine memoization across the sweep; its
-	// Rows field is zero when the sweep ran purely per-cell.
+	// Prepared aggregates row-engine memoization across the sweep.
 	Prepared PreparedTotals
 	// Failures lists each failed or stalled cell with its final error.
 	// A row whose preparation failed contributes a single record
@@ -389,27 +346,14 @@ type RunReport struct {
 // PreparedTotals sums gcn.PreparedStats over every prepared row of a
 // sweep.
 type PreparedTotals struct {
-	// Rows is how many kernel rows ran through the prepared path.
+	// Rows is how many kernel rows were prepared and evaluated.
 	Rows int
-	// Abandoned is how many of those rows fell back to the per-cell
-	// engine after an abandoned (timed-out or stalled) call poisoned
-	// the row's shared scratch. Their memo counters are not collected
-	// (the abandoned call may still be mutating them).
-	Abandoned int
 	// ResidentSetHits/Misses count resident-set cycle simulations
 	// served from / added to the per-kernel memo.
 	ResidentSetHits, ResidentSetMisses int
 	// HitRateHits/Misses count cache hit-rate estimates served from /
 	// added to the per-kernel memo.
 	HitRateHits, HitRateMisses int
-	// BatchedRows counts rows whose first attempts ran through one
-	// EvalBatch call over the whole config axis.
-	BatchedRows int
-	// BatchFallbackCells counts per-cell engine invocations that a
-	// batching row still needed: retries of batched cells whose first
-	// attempt faulted, plus every cell of a row whose batch call failed
-	// at the row level.
-	BatchFallbackCells int
 }
 
 // Complete reports whether every cell holds a validated measurement.
@@ -523,18 +467,9 @@ func resume(ctx context.Context, kernels []*kernel.Kernel, space hw.Space, opts 
 		}
 	}
 
-	// Engine selection: the prepared row path is the default; an
-	// explicit Sim without a Row keeps the legacy per-cell path. With
-	// a row engine, the per-cell fallback is its own PerCell adapter
-	// so wrappers (fault injection) see one decision stream on both
-	// paths.
 	re := opts.Row
-	sim := opts.Sim
-	if sim == nil && re == nil {
+	if re == nil {
 		re = opts.Engine.Row()
-	}
-	if sim == nil {
-		sim = gcn.PerCell(re)
 	}
 	o := opts.Observer
 	if o != nil {
@@ -557,7 +492,7 @@ func resume(ctx context.Context, kernels []*kernel.Kernel, space hw.Space, opts 
 			// started rather than grind through them.
 			quarantineRow(kernels[row], configs, opts, m, row, rep, &mu)
 		} else {
-			sweepRow(ctx, sim, re, kernels[row], configs, opts, m, row, rep, &mu, start, &trips)
+			sweepRow(ctx, re, kernels[row], configs, opts, m, row, rep, &mu, start, &trips)
 		}
 		if o != nil {
 			o.RowDone(row, kernels[row].Name, pickup.Sub(start), time.Since(pickup))
@@ -660,63 +595,38 @@ func failRowPrepare(k *kernel.Kernel, configs []hw.Config, opts Options,
 	mu.Unlock()
 }
 
-// sweepRow measures one kernel over every configuration, retrying
-// faulty cells, and merges the row's accounting into the report.
+// sweepRow measures one kernel over every configuration and merges the
+// row's accounting into the report. The row is prepared once and its
+// whole config axis evaluated in one EvalBatch call; one loop then
+// settles every cell from the batch planes: validation, noise, retry,
+// the circuit breaker, status and observer events. A retry is a batch
+// of one config, so fault injectors (which roll per (cell, attempt))
+// keep each cell's decision stream aligned. A row-level batch error
+// becomes every cell's first-attempt error. Cancellation is checked
+// between cells: a batch in flight finishes, and the cells not yet
+// settled are marked canceled.
+//
 // base anchors observer timing: cell and attempt durations are
 // differences of monotonic offsets from it, chained so the common
 // single-attempt cell costs exactly one clock read — per-cell
 // instrumentation has to stay within a few percent of a ~1µs cell.
 // trips is the sweep-wide count of opened circuit breakers.
-//
-// When re is non-nil the row runs through the prepared path: one
-// PrepareRow hoists the kernel-invariant work, and each cell
-// evaluates against the shared prepared state. A prepared row is
-// owned by this goroutine only — if the supervisor abandons an engine
-// call (timeout, stall), the abandoned goroutine may still be using
-// the row's scratch, so the row is poisoned and every later call
-// degrades to the per-cell sim, which shares no state.
-//
-// When the prepared row additionally implements gcn.BatchRow (and
-// batching is not disabled or preempted by supervision), the whole
-// config axis evaluates in one EvalBatch call up front and the cell
-// loop consumes each cell's first attempt from the batch planes.
-// Everything downstream — validation, retry with backoff, breaker,
-// status classification, observer events — is shared with the
-// per-cell path: a batched cell whose first attempt faulted re-enters
-// runCell at attempt two, drawing from the same fault decision stream
-// (injectors roll per (cell, attempt), and the batch advanced each
-// cell's counter exactly once). A row-level batch failure falls back
-// to pure per-cell evaluation for the entire row.
-func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kernel.Kernel, configs []hw.Config,
+func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs []hw.Config,
 	opts Options, m *Matrix, row int, rep *RunReport, mu *sync.Mutex, base time.Time, trips *atomic.Int64) {
-	cellSim := sim
-	var prow gcn.PreparedRow
-	var poisoned atomic.Bool
-	if re != nil {
-		pr, err := re.PrepareRow(k)
-		if err != nil {
-			failRowPrepare(k, configs, opts, m, row, rep, mu, err)
-			return
-		}
-		prow = pr
-		cellSim = func(_ *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
-			if poisoned.Load() {
-				return sim(k, cfg)
-			}
-			return prow.Eval(cfg)
-		}
+	prow, err := re.PrepareRow(k)
+	if err != nil {
+		failRowPrepare(k, configs, opts, m, row, rep, mu, err)
+		return
 	}
-
-	// Batched first attempts. The buffers come from a pool so the batch
-	// path allocates nothing per row once warm.
-	var bbuf *batchBuf
-	batched, batchTried := false, false
-	if prow != nil && !opts.DisableBatch && opts.SimTimeout <= 0 && opts.StallGrace <= 0 {
-		if br, ok := prow.(gcn.BatchRow); ok && ctx.Err() == nil {
-			batchTried = true
-			bbuf = getBatchBuf(len(configs))
-			defer putBatchBuf(bbuf)
-			batched = safeBatch(br, configs, bbuf.res, bbuf.errs) == nil
+	// The batch planes come from a pool, so a warm row allocates
+	// nothing for them.
+	b := getBatchBuf(len(configs))
+	defer putBatchBuf(b)
+	if ctx.Err() == nil {
+		if err := evalBatch(prow, configs, b.res, b.errs); err != nil {
+			for c := range b.errs {
+				b.errs[c] = err
+			}
 		}
 	}
 
@@ -735,26 +645,15 @@ func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kern
 
 	o := opts.Observer
 	timed := o != nil && o.CellTiming()
-	// With no retries, supervision, or observer, runCell reduces to one
-	// guarded engine call per cell; take that path directly rather than
-	// paying its bookkeeping frame 891 times per row.
-	fastCell := opts.Retries == 0 && opts.SimTimeout <= 0 && opts.StallGrace <= 0 && o == nil
 	var prev time.Duration // monotonic offset at the current cell's start
 	if timed {
 		prev = time.Since(base)
 	}
-	var ok, failed, canceled, stalled, quarantined, attempts, retries, fellBack int
+	var ok, failed, canceled, quarantined, attempts, retries int
 	var failures []CellFailure
-	// streak counts consecutive hard failures (failed or stalled
-	// cells); Options.Breaker of them in a row opens the breaker and
-	// quarantines the rest of the row.
+	// streak counts consecutive failed cells; Options.Breaker of them
+	// in a row opens the breaker and quarantines the rest of the row.
 	streak, tripped := 0, false
-	// cellRes is the per-cell scratch for the unbatched paths; every
-	// producer overwrites it whole, so it never needs re-zeroing. The
-	// batched fast path bypasses it entirely and reads results straight
-	// out of the batch buffer — the wide Result struct is never copied
-	// per cell.
-	var cellRes gcn.Result
 	for c := range configs {
 		cfg := &configs[c]
 		noise := 1.0
@@ -777,94 +676,53 @@ func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kern
 			}
 			continue
 		}
-		rp := &cellRes
-		var n int
-		var end time.Duration
-		var err error
-		var first *batchOutcome
-		if batched {
-			// The cell's first attempt already ran inside the batch; an
-			// isolated per-cell panic maps onto the same engine-panic
-			// classification the per-cell recover produces (final, no
-			// retry).
-			rp, err = &bbuf.res[c], bbuf.errs[c]
-			if err != nil && errors.Is(err, gcn.ErrBatchPanic) {
-				err = fmt.Errorf("%w: %v", ErrEnginePanic, err)
-			}
-			if !fastCell {
-				first = &batchOutcome{r: *rp, err: err}
-			}
-		}
-		if fastCell {
-			// A fast cell can never be abandoned, so the row can never
-			// be poisoned: evaluate the prepared row directly instead of
-			// going through cellSim's poison check.
-			n = 1
-			if !batched {
-				if prow != nil {
-					cellRes, err = safeEval(prow, *cfg)
-				} else {
-					cellRes, err = safeCall(cellSim, k, *cfg)
-				}
-			}
-			if err == nil {
-				err = validate(rp)
-			}
+		// Attempt one already ran inside the batch; read its result in
+		// place rather than copying the wide Result struct per cell.
+		rp := &b.res[c]
+		err := b.errs[c]
+		if err == nil {
+			err = validate(rp)
 		} else {
-			cellRes, n, end, err = runCell(ctx, cellSim, k, *cfg, opts, row, timed, base, prev, &poisoned, first)
-			rp = &cellRes
+			err = engineErr(err)
 		}
-		var cellDur time.Duration
-		if timed {
-			cellDur = end - prev
-			prev = end
-		}
-		attempts += n
-		if n > 1 {
-			retries += n - 1
-		}
-		if batchTried && (!batched || n > 1) {
-			// Per-cell work a batching row still needed: the whole row
-			// after a row-level batch failure, or retries of a batched
-			// cell whose first attempt faulted.
-			fellBack++
-		}
-		if err != nil {
-			if errors.Is(err, ErrStalled) {
-				status[c] = StatusStalled
-				stalled++
-			} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				status[c] = StatusCanceled
-				canceled++
-				if o != nil {
-					o.CellDone(row, k.Name, *cfg, StatusCanceled, n, cellDur)
-				}
-				continue
-			} else {
-				status[c] = StatusFailed
-				failed++
-			}
-			failures = append(failures, CellFailure{Kernel: k.Name, Config: *cfg, Attempts: n, Err: err})
-			if o != nil {
-				o.CellDone(row, k.Name, *cfg, status[c], n, cellDur)
-			}
-			streak++
-			if opts.Breaker > 0 && streak >= opts.Breaker {
-				tripped = true
-				trips.Add(1)
-				if o != nil {
-					o.BreakerTripped(row, k.Name, streak)
-				}
-			}
-			continue
-		}
-		streak = 0
-		tput[c] = rp.Throughput * noise
-		times[c] = rp.TimeNS
-		bounds[c] = rp.Bound
-		ok++
+		n, end := 1, prev
 		if o != nil {
-			o.CellDone(row, k.Name, *cfg, StatusOK, n, cellDur)
+			if timed {
+				end = time.Since(base)
+			}
+			o.CellAttempt(row, k.Name, *cfg, 1, end-prev, err)
+		}
+		if err != nil && opts.Retries > 0 {
+			n, end, err = retryCell(ctx, prow, k, configs[c:c+1], b.res[c:c+1], b.errs[c:c+1], err, opts, row, timed, base, end)
+		}
+		cellDur := end - prev
+		prev = end
+		attempts += n
+		retries += n - 1
+		switch {
+		case err == nil:
+			streak = 0
+			tput[c] = rp.Throughput * noise
+			times[c] = rp.TimeNS
+			bounds[c] = rp.Bound
+			ok++
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			status[c] = StatusCanceled
+			canceled++
+		default:
+			status[c] = StatusFailed
+			failed++
+			failures = append(failures, CellFailure{Kernel: k.Name, Config: *cfg, Attempts: n, Err: err})
+			streak++
+			if tripped = opts.Breaker > 0 && streak >= opts.Breaker; tripped {
+				trips.Add(1)
+			}
+		}
+		if o != nil {
+			o.CellDone(row, k.Name, *cfg, status[c], n, cellDur)
+			if tripped {
+				o.BreakerTripped(row, k.Name, streak)
+			}
 		}
 	}
 	if tripped && quarantined > 0 && o != nil {
@@ -875,11 +733,11 @@ func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kern
 	m.Bound[row] = bounds
 	m.Status[row] = status
 
+	s := prow.Stats()
 	mu.Lock()
 	rep.OK += ok
 	rep.Failed += failed
 	rep.Canceled += canceled
-	rep.Stalled += stalled
 	rep.Quarantined += quarantined
 	rep.Attempts += attempts
 	rep.Retries += retries
@@ -887,153 +745,89 @@ func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kern
 		rep.BreakerTrips++
 	}
 	rep.Failures = append(rep.Failures, failures...)
-	if prow != nil {
-		rep.Prepared.Rows++
-		if batched {
-			rep.Prepared.BatchedRows++
-		}
-		rep.Prepared.BatchFallbackCells += fellBack
-		if poisoned.Load() {
-			// The abandoned call may still be mutating the row's
-			// scratch and stats; counting the row as abandoned is the
-			// only safe read.
-			rep.Prepared.Abandoned++
-		} else {
-			s := prow.Stats()
-			rep.Prepared.ResidentSetHits += s.ResidentSetHits
-			rep.Prepared.ResidentSetMisses += s.ResidentSetMisses
-			rep.Prepared.HitRateHits += s.HitRateHits
-			rep.Prepared.HitRateMisses += s.HitRateMisses
-		}
-	}
+	rep.Prepared.Rows++
+	rep.Prepared.ResidentSetHits += s.ResidentSetHits
+	rep.Prepared.ResidentSetMisses += s.ResidentSetMisses
+	rep.Prepared.HitRateHits += s.HitRateHits
+	rep.Prepared.HitRateMisses += s.HitRateMisses
 	mu.Unlock()
 }
 
-// batchOutcome carries a cell's already-evaluated first attempt (from
-// a row-level EvalBatch) into runCell, so the retry machinery treats
-// it exactly like an attempt it ran itself.
-type batchOutcome struct {
-	r   gcn.Result
-	err error
-}
-
-// runCell runs one simulation with validation, retry and backoff.
-// It returns the validated result, the number of attempts consumed,
-// the monotonic offset (from base) at which the last attempt ended
-// when an observer is attached, and the final error if every attempt
-// failed. Each simulator invocation is reported to the observer with
-// its duration and error. Timing chains off the caller-supplied start
-// offset so a single-attempt cell costs one clock read; retry
-// attempts (rare) re-read the clock after the backoff sleep so the
-// sleep never pollutes an attempt's duration. timed caches
-// Observer.CellTiming: when false every clock read is skipped and
-// the observer receives zero durations. A non-nil first supplies the
-// result of attempt one (batched rows evaluate it up front); retries
-// then proceed per-cell with the usual backoff ramp.
-func runCell(ctx context.Context, sim gcn.EngineFunc, k *kernel.Kernel, cfg hw.Config,
-	opts Options, row int, timed bool, base time.Time, startOff time.Duration, abandoned *atomic.Bool,
-	first *batchOutcome) (gcn.Result, int, time.Duration, error) {
-	backoff := opts.Backoff
-	maxBackoff := opts.MaxBackoff
+// retryCell re-runs a cell whose first attempt failed, each retry a
+// batch of one config (cfg, out and errs are the cell's one-element
+// slices of the row's planes) after a capped exponential backoff that
+// cancellation cuts short. Panics, budget overruns and cancellation
+// are final. It returns the attempts consumed, first included, the
+// monotonic offset at which the last attempt ended, and the final
+// error; the result is left in out[0]. Retry attempts re-read the
+// clock after the backoff sleep, so the sleep never pollutes an
+// attempt's duration.
+func retryCell(ctx context.Context, prow gcn.PreparedRow, k *kernel.Kernel, cfg []hw.Config, out []gcn.Result, errs []error,
+	err error, opts Options, row int, timed bool, base time.Time, end time.Duration) (int, time.Duration, error) {
+	backoff, maxBackoff := opts.Backoff, opts.MaxBackoff
 	if maxBackoff <= 0 {
 		maxBackoff = 100 * time.Millisecond
 	}
-	o := opts.Observer
-	var lastErr error
-	attempts := 0
-	attemptStart := startOff
-	end := startOff
-	for try := 0; try <= opts.Retries; try++ {
-		if try > 0 {
-			if backoff > 0 {
-				t := time.NewTimer(backoff)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return gcn.Result{}, attempts, end, ctx.Err()
-				}
-				backoff *= 2
-				if backoff > maxBackoff {
-					backoff = maxBackoff
-				}
+	n := 1
+	for ; n <= opts.Retries; n++ {
+		if errors.Is(err, ErrEnginePanic) || errors.Is(err, gcn.ErrBudget) ||
+			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			break
+		}
+		if backoff > 0 {
+			t := time.NewTimer(backoff)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return n, end, ctx.Err()
 			}
-			if timed {
-				attemptStart = time.Since(base)
+			backoff = min(2*backoff, maxBackoff)
+		}
+		start := end
+		if timed {
+			start = time.Since(base)
+		}
+		if err = evalBatch(prow, cfg, out, errs); err == nil {
+			if err = errs[0]; err == nil {
+				err = validate(&out[0])
+			} else {
+				err = engineErr(err)
 			}
 		}
-		attempts++
-		var r gcn.Result
-		var err error
-		if try == 0 && first != nil {
-			r, err = first.r, first.err
-		} else if opts.SimTimeout <= 0 && opts.StallGrace <= 0 {
-			// No supervision requested: skip the wrapper frame in the
-			// hot path (simulate would take the same branch, but each
-			// frame copies the full Result back up).
-			r, err = safeCall(sim, k, cfg)
-		} else {
-			r, err = simulate(ctx, sim, k, cfg, opts.SimTimeout, opts.StallGrace, abandoned)
-		}
-		if err == nil {
-			err = validate(&r)
-		}
-		if o != nil {
+		if o := opts.Observer; o != nil {
 			if timed {
 				end = time.Since(base)
 			}
-			o.CellAttempt(row, k.Name, cfg, attempts, end-attemptStart, err)
+			o.CellAttempt(row, k.Name, cfg[0], n+1, end-start, err)
 		}
 		if err == nil {
-			return r, attempts, end, nil
+			return n + 1, end, nil
 		}
-		// Panics and stalls are final: a panicking engine is broken,
-		// not flaky, and a stalled call only surfaces once the sweep is
-		// already being torn down — retrying either wastes the budget.
-		if errors.Is(err, ErrEnginePanic) || errors.Is(err, ErrStalled) ||
-			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return gcn.Result{}, attempts, end, err
-		}
-		lastErr = err
 	}
-	return gcn.Result{}, attempts, end, lastErr
+	return n, end, err
 }
 
-// safeCall invokes the engine with panic isolation: a panic is
-// converted into an ErrEnginePanic carrying the panic value and the
-// goroutine stack, so one broken kernel model cannot take down a
-// multi-hour campaign.
-func safeCall(sim gcn.EngineFunc, k *kernel.Kernel, cfg hw.Config) (r gcn.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%w: %v\n%s", ErrEnginePanic, p, debug.Stack())
-		}
-	}()
-	return sim(k, cfg)
-}
-
-// safeEval is safeCall for a prepared row: same panic isolation, no
-// per-cell closure in between.
-func safeEval(row gcn.PreparedRow, cfg hw.Config) (r gcn.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%w: %v\n%s", ErrEnginePanic, p, debug.Stack())
-		}
-	}()
-	return row.Eval(cfg)
-}
-
-// safeBatch runs a whole-row batch evaluation with panic isolation. A
-// non-nil return (row-level batch failure, or a panic that escaped the
-// engine's own per-cell isolation) makes the caller fall back to pure
-// per-cell evaluation for the row — nothing is lost but the speedup.
-func safeBatch(br gcn.BatchRow, cfgs []hw.Config, out []gcn.Result, errs []error) (err error) {
+// evalBatch runs one batch with panic isolation: a panic that escapes
+// the engine's own per-cell isolation becomes a row-level
+// ErrEnginePanic carrying the panic value and the goroutine stack, so
+// one broken kernel model cannot take down a multi-hour campaign.
+func evalBatch(br gcn.BatchRow, cfgs []hw.Config, out []gcn.Result, errs []error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%w: %v\n%s", ErrEnginePanic, p, debug.Stack())
 		}
 	}()
 	return br.EvalBatch(cfgs, out, errs)
+}
+
+// engineErr maps a per-cell panic that the engine isolated inside a
+// batch onto the executor's own final ErrEnginePanic classification.
+func engineErr(err error) error {
+	if errors.Is(err, gcn.ErrBatchPanic) {
+		return fmt.Errorf("%w: %v", ErrEnginePanic, err)
+	}
+	return err
 }
 
 // configsCache memoizes the last materialized config axis. Callers
@@ -1085,67 +879,6 @@ func getBatchBuf(n int) *batchBuf {
 }
 
 func putBatchBuf(b *batchBuf) { batchPool.Put(b) }
-
-// simulate invokes the engine, bounded by timeout when one is set and
-// supervised by the stall watchdog when grace is set. A timed-out or
-// abandoned invocation's goroutine finishes in the background; its
-// buffered channel lets it exit without a receiver. Every abandonment
-// path sets abandoned (when non-nil) before returning, so a caller
-// sharing row-level state with the engine knows the state may still
-// be in use by the orphaned goroutine.
-func simulate(ctx context.Context, sim gcn.EngineFunc, k *kernel.Kernel, cfg hw.Config, timeout, grace time.Duration, abandoned *atomic.Bool) (gcn.Result, error) {
-	if timeout <= 0 && grace <= 0 {
-		return safeCall(sim, k, cfg)
-	}
-	abandon := func() {
-		if abandoned != nil {
-			abandoned.Store(true)
-		}
-	}
-	type outcome struct {
-		r   gcn.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		r, err := safeCall(sim, k, cfg)
-		ch <- outcome{r, err}
-	}()
-	var expire <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expire = t.C
-	}
-	select {
-	case o := <-ch:
-		return o.r, o.err
-	case <-expire:
-		abandon()
-		return gcn.Result{}, fmt.Errorf("%w after %v", ErrSimTimeout, timeout)
-	case <-ctx.Done():
-		if grace <= 0 {
-			abandon()
-			return gcn.Result{}, ctx.Err()
-		}
-		// Watchdog: the engine is expected to return promptly once the
-		// context ends (cooperative engines poll it; ours just finish
-		// the cell). One that keeps running past the grace is wedged —
-		// abandon it and report the stall rather than hanging the row.
-		g := time.NewTimer(grace)
-		defer g.Stop()
-		select {
-		case o := <-ch:
-			if o.err != nil {
-				return gcn.Result{}, o.err
-			}
-			return gcn.Result{}, ctx.Err()
-		case <-g.C:
-			abandon()
-			return gcn.Result{}, fmt.Errorf("%w (no return within %v of cancellation)", ErrStalled, grace)
-		}
-	}
-}
 
 // validate rejects measurements no hardware run could produce —
 // exactly the garbage a flaky rig emits. Corruption is retryable.

@@ -209,7 +209,7 @@ func TestRunContextRetriesRecoverFaults(t *testing.T) {
 	}
 	in := fault.Injector{ErrorRate: 0.2, Seed: 5}
 	m, rep, err := RunContext(context.Background(), testKernels(), space,
-		Options{Sim: in.Wrap(gcn.Simulate), Retries: 6})
+		Options{Row: in.WrapRow(gcn.RoundRow), Retries: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestRunContextPartialMatrixDeterministic(t *testing.T) {
 	sweepOnce := func(workers int) (*Matrix, *RunReport) {
 		in := fault.Injector{ErrorRate: 0.3, Seed: 21}
 		m, rep, err := RunContext(context.Background(), testKernels(), space,
-			Options{Workers: workers, Sim: in.Wrap(gcn.Simulate)})
+			Options{Workers: workers, Row: in.WrapRow(gcn.RoundRow)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestRunContextCorruptResultsRejectedAndRetried(t *testing.T) {
 	// caught by validation, never stored.
 	in := fault.Injector{CorruptRate: 0.4, Seed: 13}
 	m, rep, err := RunContext(context.Background(), testKernels(), space,
-		Options{Sim: in.Wrap(gcn.Simulate)})
+		Options{Row: in.WrapRow(gcn.RoundRow)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRunContextCorruptResultsRejectedAndRetried(t *testing.T) {
 	}
 	in2 := fault.Injector{CorruptRate: 0.4, Seed: 13}
 	m2, rep2, err := RunContext(context.Background(), testKernels(), space,
-		Options{Sim: in2.Wrap(gcn.Simulate), Retries: 8})
+		Options{Row: in2.WrapRow(gcn.RoundRow), Retries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,30 +296,6 @@ func TestRunContextCorruptResultsRejectedAndRetried(t *testing.T) {
 	if !reflect.DeepEqual(m2.Throughput, clean.Throughput) {
 		t.Fatal("recovered corrupt sweep differs from clean sweep")
 	}
-}
-
-func TestRunContextSimTimeout(t *testing.T) {
-	space := testSpace(t)
-	slow := func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
-		time.Sleep(30 * time.Millisecond)
-		return gcn.Simulate(k, cfg)
-	}
-	ks := testKernels()[:1]
-	m, rep, err := RunContext(context.Background(), ks, space,
-		Options{Sim: slow, SimTimeout: time.Millisecond, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAccounting(t, rep)
-	if rep.Failed != space.Size() {
-		t.Fatalf("failed = %d, want every cell (%d)", rep.Failed, space.Size())
-	}
-	for _, f := range rep.Failures {
-		if !errors.Is(f.Err, ErrSimTimeout) {
-			t.Fatalf("failure not a timeout: %v", f.Err)
-		}
-	}
-	_ = m
 }
 
 func TestRunContextCancellation(t *testing.T) {
@@ -342,7 +318,7 @@ func TestRunContextCancellation(t *testing.T) {
 	}()
 	start := time.Now()
 	m, rep, err := RunContext(ctx, testKernels(), space,
-		Options{Sim: slow, Workers: 2, Retries: 3, Backoff: 10 * time.Millisecond})
+		Options{Row: gcn.FuncRow(slow), Workers: 2, Retries: 3, Backoff: 10 * time.Millisecond})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -380,7 +356,7 @@ func TestRunBackoffRespectsCancel(t *testing.T) {
 	start := time.Now()
 	// An hour of backoff per retry: only cancellation can end this.
 	_, rep, err := RunContext(ctx, testKernels(), space,
-		Options{Sim: failing, Retries: 5, Backoff: time.Hour, Workers: 2})
+		Options{Row: gcn.FuncRow(failing), Retries: 5, Backoff: time.Hour, Workers: 2})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -400,7 +376,7 @@ func TestResumeRecomputesOnlyMissingRows(t *testing.T) {
 		}
 		return gcn.Simulate(k, cfg)
 	}
-	first, rep1, err := RunContext(context.Background(), ks, space, Options{Sim: bDown})
+	first, rep1, err := RunContext(context.Background(), ks, space, Options{Row: gcn.FuncRow(bDown)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +390,7 @@ func TestResumeRecomputesOnlyMissingRows(t *testing.T) {
 		calls.Add(1)
 		return gcn.Simulate(k, cfg)
 	}
-	m, rep2, err := Resume(context.Background(), ks, space, Options{Sim: counting}, first)
+	m, rep2, err := Resume(context.Background(), ks, space, Options{Row: gcn.FuncRow(counting)}, first)
 	if err != nil {
 		t.Fatal(err)
 	}
